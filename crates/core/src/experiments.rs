@@ -9,6 +9,7 @@ use qob_cardest::{
 };
 use qob_cost::{CostModel, PostgresCostModel, SimpleCostModel};
 use qob_enumerate::{Planner, PlannerConfig, ShapeRestriction};
+use qob_exec::operators::scan;
 use qob_exec::ExecutionOptions;
 use qob_plan::QuerySpec;
 use qob_storage::IndexConfig;
@@ -32,7 +33,7 @@ pub struct BaseTableQuality {
 }
 
 /// Reproduces Table 1: the q-error distribution of base-table selection
-/// estimates, per system.
+/// estimates, per system.  Truths come from the engine's own scan.
 pub fn base_table_quality(
     ctx: &BenchmarkContext,
     query_limit: Option<usize>,
@@ -47,11 +48,7 @@ pub fn base_table_quality(
                 if relation.predicates.is_empty() {
                     continue;
                 }
-                let table = ctx.db().table(relation.table);
-                let truth = table
-                    .row_ids()
-                    .filter(|&row| relation.predicates.iter().all(|p| p.matches(table, row)))
-                    .count() as f64;
+                let truth = scan(ctx.db(), query, rel).len() as f64;
                 let estimate = estimator.estimate_base(query, rel);
                 errors.push(q_error(estimate, truth));
             }

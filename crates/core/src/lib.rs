@@ -41,14 +41,6 @@ pub mod experiments;
 pub mod session;
 pub mod slowdown;
 
-/// Deprecated alias of [`slowdown`]: the paper's slowdown buckets were
-/// renamed so they cannot be confused with the runtime metrics registry
-/// (`qob-obs`).
-#[deprecated(since = "0.1.0", note = "renamed to `qob_core::slowdown`")]
-pub mod metrics {
-    pub use crate::slowdown::{geometric_mean, SlowdownBucket, SlowdownDistribution};
-}
-
 pub use adaptive::{execute_adaptive, AdaptiveOutcome, ReplanEvent};
 pub use context::{BenchmarkContext, ColumnStorageSize, EstimatorKind, TableStorageSize};
 pub use qob_cardest::{nearest_rank_percentile, percentile};

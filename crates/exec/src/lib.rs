@@ -7,7 +7,9 @@
 //!
 //! Operators (Section 2.3 of the paper):
 //!
-//! * full table **scans** with pushed-down selection predicates,
+//! * full table **scans** with pushed-down selection predicates, evaluated
+//!   by the storage layer's page-aware [`qob_storage::Selection`] kernel one
+//!   morsel (row range) at a time — the same kernel ground truth uses,
 //! * **hash joins** whose hash table is sized from the *cardinality
 //!   estimate* of the build side — reproducing the PostgreSQL ≤ 9.4
 //!   behaviour — with optional runtime **rehashing** (the 9.5 fix studied in

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use qob_storage::{Database, EncodedColumn, HashIndex, Predicate, RowId, Table};
+use qob_storage::{Database, EncodedColumn, HashIndex, Predicate, RowId, Selection, Table};
 
 use crate::executor::{ExecutionError, ExecutionOptions};
 use crate::hashtable::{bucket_count_for, bucket_for, ChainedHashTable};
@@ -158,104 +158,14 @@ impl<'a> Ticker<'a> {
 // Scans.
 // ---------------------------------------------------------------------------
 
-/// Scans a base relation, applying its selection predicates (the sequential
-/// one-shot path, used by ground-truth extraction).
+/// Scans a whole base relation through the storage [`Selection`] kernel, the
+/// sequential one-shot path that ground-truth extraction uses.
 pub fn scan(db: &Database, query: &qob_plan::QuerySpec, rel: usize) -> Intermediate {
     let relation = &query.relations[rel];
     let table = db.table(relation.table);
-    let rows: Vec<RowId> = if relation.predicates.is_empty() {
-        table.row_ids().collect()
-    } else if relation.predicates.len() == 1 {
-        relation.predicates[0].filter(table)
-    } else {
-        // Evaluate the most common case (conjunction) by filtering on the
-        // first predicate and rechecking the rest per row.
-        relation.predicates[0]
-            .filter(table)
-            .into_iter()
-            .filter(|&row| relation.predicates[1..].iter().all(|p| p.matches(table, row)))
-            .collect()
-    };
+    let mut rows = Vec::new();
+    Selection::compile(table, &relation.predicates).select(0..table.row_count(), &mut rows);
     Intermediate::from_scan(rel, rows)
-}
-
-/// One selection predicate compiled for per-row evaluation inside a scan
-/// morsel.  String predicates are resolved against the column dictionary once
-/// at compile time and evaluated as integer code comparisons, mirroring the
-/// fast paths of [`Predicate::filter`].
-enum CompiledPred<'a> {
-    /// String equality against a dictionary code.
-    CodeEq { col: &'a EncodedColumn, code: u32 },
-    /// String set membership against dictionary codes.
-    CodeIn { col: &'a EncodedColumn, codes: std::collections::HashSet<u32> },
-    /// The literal(s) are absent from the dictionary: nothing matches.
-    Never,
-    /// Everything else falls back to the general evaluator.
-    General { pred: &'a Predicate },
-}
-
-/// A relation's conjunction of predicates, compiled for morsel evaluation.
-pub struct CompiledFilter<'a> {
-    table: &'a Table,
-    preds: Vec<CompiledPred<'a>>,
-}
-
-impl<'a> CompiledFilter<'a> {
-    /// Compiles `preds` against `table`.
-    pub fn compile(table: &'a Table, preds: &'a [Predicate]) -> Self {
-        let compiled = preds
-            .iter()
-            .map(|pred| {
-                let dict_codes: Option<Vec<u32>> = match pred {
-                    Predicate::StrEq { column, value } => {
-                        table.column(*column).dict().map(|d| d.code_of(value).into_iter().collect())
-                    }
-                    Predicate::StrIn { column, values } => table
-                        .column(*column)
-                        .dict()
-                        .map(|d| values.iter().filter_map(|v| d.code_of(v)).collect()),
-                    Predicate::Like { column, pattern } => table.column(*column).dict().map(|d| {
-                        d.iter()
-                            .filter(|(_, s)| qob_storage::like_match(pattern, s))
-                            .map(|(c, _)| c)
-                            .collect()
-                    }),
-                    _ => None,
-                };
-                match (pred, dict_codes) {
-                    (_, Some(codes)) if codes.is_empty() => CompiledPred::Never,
-                    (
-                        Predicate::StrEq { column, .. }
-                        | Predicate::StrIn { column, .. }
-                        | Predicate::Like { column, .. },
-                        Some(codes),
-                    ) => {
-                        let col = table.column(*column);
-                        if codes.len() == 1 {
-                            CompiledPred::CodeEq { col, code: codes[0] }
-                        } else {
-                            CompiledPred::CodeIn { col, codes: codes.into_iter().collect() }
-                        }
-                    }
-                    _ => CompiledPred::General { pred },
-                }
-            })
-            .collect();
-        CompiledFilter { table, preds: compiled }
-    }
-
-    /// Evaluates the conjunction for one row.
-    #[inline]
-    pub fn matches(&self, row: RowId) -> bool {
-        self.preds.iter().all(|p| match p {
-            CompiledPred::CodeEq { col, code } => col.code_at(row as usize) == Some(*code),
-            CompiledPred::CodeIn { col, codes } => {
-                col.code_at(row as usize).is_some_and(|c| codes.contains(&c))
-            }
-            CompiledPred::Never => false,
-            CompiledPred::General { pred } => pred.matches(self.table, row),
-        })
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -24,20 +24,20 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use qob_plan::{JoinAlgorithm, JoinKey, PhysicalPlan, QuerySpec, RelSet};
-use qob_storage::{ColumnId, Database, RowId, Table};
+use qob_storage::{ColumnId, Database, RowId, Selection, Table};
 
 use crate::executor::{ExecutionError, ExecutionOptions, OperatorTiming};
 use crate::intermediate::{Intermediate, Materialized};
 use crate::operators::{
-    build_hash_table, merge_join, BuildSide, ColReader, CompiledFilter, ExecGuard, HashProbeOp,
-    IndexProbeOp, NlProbeOp, PipelineOp, Ticker,
+    build_hash_table, merge_join, BuildSide, ColReader, ExecGuard, HashProbeOp, IndexProbeOp,
+    NlProbeOp, PipelineOp, Ticker,
 };
 
 /// Where a pipeline's tuples come from.
 enum Source<'a> {
-    /// A base-table scan with compiled selection predicates; morsels range
-    /// over the table's row ids and filter on the fly.
-    Scan { table: &'a Table, filter: CompiledFilter<'a> },
+    /// A base-table scan: each morsel is a row-id range that the storage
+    /// [`Selection`] kernel filters page by page.
+    Scan { table: &'a Table, selection: Selection<'a> },
     /// A materialised intermediate (the output of a breaker).
     Mat(Intermediate),
     /// A borrowed materialised intermediate (pair-join entry point).
@@ -217,7 +217,7 @@ impl<'a> Engine<'a> {
                 Ok(Pipeline {
                     source: Source::Scan {
                         table,
-                        filter: CompiledFilter::compile(table, &relation.predicates),
+                        selection: Selection::compile(table, &relation.predicates),
                     },
                     ops: Vec::new(),
                     out_rels: vec![*rel],
@@ -490,7 +490,7 @@ fn worker(
         }
         let range = m * morsel..((m + 1) * morsel).min(n);
         scratch.clear();
-        let fill = fill_source(&pipeline.source, range, &mut scratch, &mut ticker);
+        let fill = fill_source(&pipeline.source, range, &mut scratch, guard, &mut ticker);
         if let Err(e) = fill {
             guard.abort(e);
             return;
@@ -529,22 +529,19 @@ fn worker(
     }
 }
 
-/// Materialises one source morsel into `out`.
+/// Materialises one source morsel into `out`.  A scan morsel polls the
+/// guard once; materialised sources tick per tuple.
 fn fill_source(
     source: &Source<'_>,
     range: std::ops::Range<usize>,
     out: &mut Vec<RowId>,
+    guard: &ExecGuard,
     ticker: &mut Ticker<'_>,
 ) -> Result<(), ExecutionError> {
     match source {
-        Source::Scan { filter, .. } => {
-            for row in range {
-                ticker.tick()?;
-                let row = row as RowId;
-                if filter.matches(row) {
-                    out.push(row);
-                }
-            }
+        Source::Scan { selection, .. } => {
+            guard.poll()?;
+            selection.select(range, out);
         }
         Source::Mat(i) => {
             for tuple in i.tuples_in(range) {

@@ -23,6 +23,7 @@
 //! [`PageStore`].
 
 use std::fs::File;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::StorageError;
@@ -108,6 +109,45 @@ fn width_for(delta: u64) -> u8 {
 }
 
 // ---------------------------------------------------------------------------
+// Run-length primitives
+// ---------------------------------------------------------------------------
+
+/// Splits `values` into maximal runs of equal values: one value per run and
+/// each run's exclusive end row.
+fn rle_encode<T: Copy + PartialEq>(values: &[T]) -> (Vec<T>, Vec<u32>) {
+    let (mut run_values, mut run_ends) = (Vec::new(), Vec::new());
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 && values[i - 1] == v {
+            *run_ends.last_mut().expect("a run is open") += 1;
+        } else {
+            run_values.push(v);
+            run_ends.push(i as u32 + 1);
+        }
+    }
+    (run_values, run_ends)
+}
+
+/// Calls `f(start, end, value)` for each run that overlaps `rows`, clipped to
+/// it; one binary search over the run ends finds the first run.
+fn for_each_rle_run<T: Copy>(
+    values: &[T],
+    run_ends: &[u32],
+    rows: Range<usize>,
+    mut f: impl FnMut(usize, usize, T),
+) {
+    let first = run_ends.partition_point(|&end| end as usize <= rows.start);
+    let mut start = rows.start;
+    for (&v, &end) in values[first..].iter().zip(&run_ends[first..]) {
+        if start >= rows.end {
+            break;
+        }
+        let end = (end as usize).min(rows.end);
+        f(start, end, v);
+        start = end;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Integer pages
 // ---------------------------------------------------------------------------
 
@@ -176,18 +216,8 @@ impl IntPage {
             return IntEncoding::Plain(Vec::new());
         }
         if runs * RLE_MIN_AVG_RUN <= values.len() {
-            let mut rle_values = Vec::with_capacity(runs);
-            let mut run_ends = Vec::with_capacity(runs);
-            for (i, &v) in values.iter().enumerate() {
-                if i == 0 || values[i - 1] != v {
-                    rle_values.push(v);
-                    run_ends.push(i as u32);
-                }
-            }
-            // Convert run starts to exclusive run ends.
-            run_ends.remove(0);
-            run_ends.push(values.len() as u32);
-            return IntEncoding::Rle { values: rle_values, run_ends };
+            let (values, run_ends) = rle_encode(values);
+            return IntEncoding::Rle { values, run_ends };
         }
         // FOR over *stored* slot values (null slots included — the builder
         // stores a copy of the previous value there, so they never widen
@@ -264,33 +294,19 @@ impl IntPage {
                         .map(|i| base.wrapping_add(unpack_bit(packed, *width, i) as i64)),
                 );
             }
-            IntEncoding::Rle { values, run_ends } => {
-                let mut start = 0u32;
-                for (v, &end) in values.iter().zip(run_ends) {
-                    out.extend(std::iter::repeat_n(*v, (end - start) as usize));
-                    start = end;
-                }
-            }
+            IntEncoding::Rle { .. } => self.for_each_run(0..self.len(), |start, end, v| {
+                out.extend(std::iter::repeat_n(v, end - start));
+            }),
         }
     }
 
-    /// Calls `f(start_row, end_row, value)` for each maximal run of equal
-    /// stored values (a single pass that never materialises the page).
-    pub fn for_each_run(&self, mut f: impl FnMut(usize, usize, i64)) {
+    /// Calls `f(start, end, value)` for the stored values of the page-local
+    /// rows `rows`, in row order: once per run (clipped to `rows`) on an RLE
+    /// page, once per row otherwise.  Never materialises the page.
+    pub fn for_each_run(&self, rows: Range<usize>, mut f: impl FnMut(usize, usize, i64)) {
         match &self.encoding {
-            IntEncoding::Rle { values, run_ends } => {
-                let mut start = 0usize;
-                for (v, &end) in values.iter().zip(run_ends) {
-                    f(start, end as usize, *v);
-                    start = end as usize;
-                }
-            }
-            _ => {
-                for i in 0..self.len() {
-                    let v = self.get(i);
-                    f(i, i + 1, v);
-                }
-            }
+            IntEncoding::Rle { values, run_ends } => for_each_rle_run(values, run_ends, rows, f),
+            _ => rows.for_each(|i| f(i, i + 1, self.get(i))),
         }
     }
 
@@ -367,17 +383,8 @@ impl CodePage {
             EncodingPolicy::Auto if codes.is_empty() => CodeEncoding::Plain(Vec::new()),
             EncodingPolicy::Auto => {
                 if runs * RLE_MIN_AVG_RUN <= codes.len() {
-                    let mut rle_values = Vec::with_capacity(runs);
-                    let mut run_ends = Vec::with_capacity(runs);
-                    for (i, &c) in codes.iter().enumerate() {
-                        if i == 0 || codes[i - 1] != c {
-                            rle_values.push(c);
-                            run_ends.push(i as u32);
-                        }
-                    }
-                    run_ends.remove(0);
-                    run_ends.push(codes.len() as u32);
-                    CodeEncoding::Rle { values: rle_values, run_ends }
+                    let (values, run_ends) = rle_encode(codes);
+                    CodeEncoding::Rle { values, run_ends }
                 } else {
                     let top = *codes.iter().max().expect("non-empty");
                     let width = width_for(top as u64);
@@ -439,33 +446,18 @@ impl CodePage {
             CodeEncoding::Packed { width, packed } => {
                 out.extend((0..self.len()).map(|i| unpack_bit(packed, *width, i) as u32));
             }
-            CodeEncoding::Rle { values, run_ends } => {
-                let mut start = 0u32;
-                for (c, &end) in values.iter().zip(run_ends) {
-                    out.extend(std::iter::repeat_n(*c, (end - start) as usize));
-                    start = end;
-                }
-            }
+            CodeEncoding::Rle { .. } => self.for_each_run(0..self.len(), |start, end, c| {
+                out.extend(std::iter::repeat_n(c, end - start));
+            }),
         }
     }
 
-    /// Calls `f(start_row, end_row, code)` for each maximal run of equal
-    /// stored codes.
-    pub fn for_each_run(&self, mut f: impl FnMut(usize, usize, u32)) {
+    /// Calls `f(start, end, code)` for the stored codes of the page-local
+    /// rows `rows`, as [`IntPage::for_each_run`] does for values.
+    pub fn for_each_run(&self, rows: Range<usize>, mut f: impl FnMut(usize, usize, u32)) {
         match &self.encoding {
-            CodeEncoding::Rle { values, run_ends } => {
-                let mut start = 0usize;
-                for (c, &end) in values.iter().zip(run_ends) {
-                    f(start, end as usize, *c);
-                    start = end as usize;
-                }
-            }
-            _ => {
-                for i in 0..self.len() {
-                    let c = self.get(i);
-                    f(i, i + 1, c);
-                }
-            }
+            CodeEncoding::Rle { values, run_ends } => for_each_rle_run(values, run_ends, rows, f),
+            _ => rows.for_each(|i| f(i, i + 1, self.get(i))),
         }
     }
 
@@ -843,12 +835,19 @@ mod tests {
             assert_eq!(page.get(i), v);
         }
         let mut runs = 0;
-        page.for_each_run(|start, end, v| {
+        page.for_each_run(0..page.len(), |start, end, v| {
             assert!(end > start);
             assert_eq!(v, values[start]);
             runs += 1;
         });
         assert_eq!(runs, 20);
+        // A sub-range starting and ending mid-run is clipped at both ends.
+        let mut clipped = Vec::new();
+        page.for_each_run(75..160, |start, end, v| clipped.push((start, end, v)));
+        assert_eq!(clipped, vec![(75, 100, 3), (100, 150, 6), (150, 160, 9)]);
+        let mut empty = 0;
+        page.for_each_run(120..120, |_, _, _| empty += 1);
+        assert_eq!(empty, 0);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use encoding::{EncodingPolicy, PageData, PageStore, PAGE_ROWS};
 pub use error::StorageError;
 pub use index::{HashIndex, OrderedIndex};
 pub use ingest::{export_csv_dir, ingest_csv_dir, IngestReport, IngestTableReport, TableSchema};
-pub use predicate::{like_match, CmpOp, Predicate};
+pub use predicate::{like_match, CmpOp, Predicate, Selection};
 pub use snapshot::{SnapshotMeta, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use table::{ColumnId, ColumnMeta, RowId, Table, TableBuilder};
 pub use value::{sql_string_literal, DataType, Value};

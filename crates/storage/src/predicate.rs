@@ -2,10 +2,15 @@
 //!
 //! JOB queries restrict base tables with equality, range, `IN`, `LIKE`,
 //! disjunctive and null predicates.  This module represents those predicates
-//! and evaluates them against a [`Table`], producing either a selection
-//! vector of matching [`RowId`]s or a per-row boolean.
+//! and evaluates them against a [`Table`]: [`Selection`] produces the
+//! selection vector of matching [`RowId`]s for a row range, and
+//! [`Predicate::matches`] the per-row boolean.
 
-use crate::column::EncodedColumn;
+use std::ops::Range;
+
+use crate::bitmap::Bitmap;
+use crate::column::{EncodedColumn, StringDict};
+use crate::encoding::PAGE_ROWS;
 use crate::table::{ColumnId, RowId, Table};
 use crate::value::DataType;
 
@@ -147,62 +152,13 @@ impl Predicate {
         }
     }
 
-    /// Evaluates the predicate against a whole table, returning the matching
-    /// row ids in order.
-    ///
-    /// String equality / IN / LIKE predicates are evaluated once against the
-    /// column dictionary and then as integer code comparisons; integer
-    /// comparisons and ranges evaluate directly on the encoded pages.  Both
-    /// paths skip whole pages whose non-null min/max is disjoint from the
-    /// wanted values, and evaluate RLE pages once per run rather than once
-    /// per row.
+    /// Evaluates the predicate against a whole table with the [`Selection`]
+    /// kernel, returning the matching row ids in order.
     pub fn filter(&self, table: &Table) -> Vec<RowId> {
-        // Fast paths for the common leaf predicates.
-        match self {
-            Predicate::StrEq { column, value } => {
-                return filter_str_codes(table.column(*column), |dict| {
-                    dict.code_of(value).map(|c| vec![c]).unwrap_or_default()
-                });
-            }
-            Predicate::StrIn { column, values } => {
-                return filter_str_codes(table.column(*column), |dict| {
-                    values.iter().filter_map(|v| dict.code_of(v)).collect()
-                });
-            }
-            Predicate::Like { column, pattern } => {
-                return filter_str_codes(table.column(*column), |dict| {
-                    dict.iter().filter(|(_, s)| like_match(pattern, s)).map(|(c, _)| c).collect()
-                });
-            }
-            Predicate::IntCmp { column, op, value } if *op != CmpOp::Ne => {
-                // `Ne` has no contiguous match range, so it stays row-wise.
-                let (low, high) = match op {
-                    CmpOp::Eq => (*value, *value),
-                    CmpOp::Lt => match value.checked_sub(1) {
-                        Some(high) => (i64::MIN, high),
-                        None => return Vec::new(),
-                    },
-                    CmpOp::Le => (i64::MIN, *value),
-                    CmpOp::Gt => match value.checked_add(1) {
-                        Some(low) => (low, i64::MAX),
-                        None => return Vec::new(),
-                    },
-                    CmpOp::Ge => (*value, i64::MAX),
-                    CmpOp::Ne => unreachable!("guarded above"),
-                };
-                return filter_int_range(table.column(*column), low, high);
-            }
-            Predicate::IntBetween { column, low, high } => {
-                return filter_int_range(table.column(*column), *low, *high);
-            }
-            _ => {}
-        }
-        table.row_ids().filter(|&row| self.matches(table, row)).collect()
-    }
-
-    /// Counts the matching rows without materialising the selection.
-    pub fn count(&self, table: &Table) -> usize {
-        table.row_ids().filter(|&row| self.matches(table, row)).count()
+        let mut rows = Vec::new();
+        Selection::compile(table, std::slice::from_ref(self))
+            .select(0..table.row_count(), &mut rows);
+        rows
     }
 
     /// All columns referenced by the predicate (with duplicates removed).
@@ -239,78 +195,203 @@ impl Predicate {
     }
 }
 
-/// Evaluates the selected dictionary codes against a string column, page by
-/// page: pages whose code min/max is disjoint from the wanted codes are
-/// skipped without decoding, and RLE pages are tested once per run.
-fn filter_str_codes<F>(col: &EncodedColumn, select_codes: F) -> Vec<RowId>
-where
-    F: FnOnce(&crate::column::StringDict) -> Vec<u32>,
-{
-    // A string predicate over an int column never matches (the schema-level
-    // type check happens upstream).
-    let Some(dict) = col.dict() else { return Vec::new() };
-    let wanted = select_codes(dict);
-    if wanted.is_empty() {
-        return Vec::new();
-    }
-    let (lo, hi) =
-        (*wanted.iter().min().expect("non-empty"), *wanted.iter().max().expect("non-empty"));
-    let single = (wanted.len() == 1).then(|| wanted[0]);
-    let set: std::collections::HashSet<u32> =
-        if single.is_some() { Default::default() } else { wanted.into_iter().collect() };
-    let validity = col.validity();
-    let mut out = Vec::new();
-    for p in 0..col.page_count() {
-        let page = col.code_page(p);
-        if page.disjoint_with(lo, hi) {
-            continue;
-        }
-        let base = col.page_rows(p).start;
-        page.for_each_run(|start, end, code| {
-            let hit = match single {
-                Some(target) => code == target,
-                None => set.contains(&code),
-            };
-            if hit {
-                for i in start..end {
-                    let row = base + i;
-                    if validity.get(row) {
-                        out.push(row as RowId);
-                    }
-                }
-            }
-        });
-    }
-    out
+/// A relation's predicate conjunction compiled once against its table: the
+/// one selection kernel behind every base-table scan — the executor's morsel
+/// scans, ground-truth extraction and Table 1's base-table truths.
+///
+/// String `=`/`IN`/`LIKE` conjuncts become dictionary code sets and integer
+/// comparisons become inclusive ranges.  Both skip pages whose non-null
+/// min/max is disjoint from the predicate and test RLE pages once per run.
+/// Anything else (`<>`, `IS [NOT] NULL`, `OR`, `NOT`) falls back to
+/// [`Predicate::matches`] per row.  The first conjunct drives the scan and the
+/// others refine its survivors; page-aware conjuncts are ordered first.
+pub struct Selection<'a> {
+    table: &'a Table,
+    conjuncts: Vec<Conjunct<'a>>,
 }
 
-/// Collects rows of an integer column whose value lies in `[low, high]`
-/// (inclusive), skipping pages whose non-null min/max is disjoint from the
-/// range and testing RLE pages once per run.
-fn filter_int_range(col: &EncodedColumn, low: i64, high: i64) -> Vec<RowId> {
-    if col.data_type() != DataType::Int || low > high {
-        return Vec::new();
+enum Conjunct<'a> {
+    /// Non-null rows of a string column whose code is in the set.
+    Codes { col: &'a EncodedColumn, set: CodeSet },
+    /// Non-null rows of an integer column whose value lies in `low..=high`.
+    Range { col: &'a EncodedColumn, low: i64, high: i64 },
+    /// No row matches: an absent literal, an empty range, or a column of the
+    /// wrong type.
+    Never,
+    /// Evaluated row by row.
+    Row(&'a Predicate),
+}
+
+/// Dictionary codes as a bitmap over `lo..=hi` (bit `i` is code `lo + i`).
+struct CodeSet {
+    lo: u32,
+    hi: u32,
+    bits: Bitmap,
+}
+
+impl CodeSet {
+    #[inline]
+    fn contains(&self, code: u32) -> bool {
+        (self.lo..=self.hi).contains(&code) && self.bits.get((code - self.lo) as usize)
     }
-    let validity = col.validity();
-    let mut out = Vec::new();
-    for p in 0..col.page_count() {
-        let page = col.int_page(p);
-        if page.disjoint_with(low, high) {
-            continue;
+}
+
+impl<'a> Selection<'a> {
+    /// Compiles the conjunction of `predicates` against `table`.
+    pub fn compile(table: &'a Table, predicates: &'a [Predicate]) -> Self {
+        let mut conjuncts = Vec::new();
+        for p in predicates {
+            Conjunct::compile_into(table, p, &mut conjuncts);
         }
-        let base = col.page_rows(p).start;
-        page.for_each_run(|start, end, v| {
-            if v >= low && v <= high {
-                for i in start..end {
-                    let row = base + i;
-                    if validity.get(row) {
-                        out.push(row as RowId);
-                    }
+        conjuncts.sort_by_key(|c| matches!(c, Conjunct::Row(_)));
+        Selection { table, conjuncts }
+    }
+
+    /// Appends the ids of the rows in `rows` that satisfy every conjunct to
+    /// `out`, in ascending order.
+    ///
+    /// # Panics
+    /// Panics if `rows` extends past the end of the table.
+    pub fn select(&self, rows: Range<usize>, out: &mut Vec<RowId>) {
+        assert!(rows.end <= self.table.row_count(), "rows {rows:?} out of table bounds");
+        let Some((first, rest)) = self.conjuncts.split_first() else {
+            out.extend(rows.map(|r| r as RowId));
+            return;
+        };
+        let start = out.len();
+        first.drive(self.table, rows, out);
+        let mut kept = start;
+        for i in start..out.len() {
+            let row = out[i];
+            if rest.iter().all(|c| c.matches(self.table, row)) {
+                out[kept] = row;
+                kept += 1;
+            }
+        }
+        out.truncate(kept);
+    }
+}
+
+impl<'a> Conjunct<'a> {
+    fn compile_into(table: &'a Table, pred: &'a Predicate, out: &mut Vec<Conjunct<'a>>) {
+        let conjunct = match pred {
+            Predicate::And(preds) => {
+                preds.iter().for_each(|p| Conjunct::compile_into(table, p, out));
+                return;
+            }
+            Predicate::StrEq { column, value } => {
+                Conjunct::codes(table.column(*column), |d| d.code_of(value).into_iter().collect())
+            }
+            Predicate::StrIn { column, values } => Conjunct::codes(table.column(*column), |d| {
+                values.iter().filter_map(|v| d.code_of(v)).collect()
+            }),
+            Predicate::Like { column, pattern } => Conjunct::codes(table.column(*column), |d| {
+                d.iter().filter(|(_, s)| like_match(pattern, s)).map(|(c, _)| c).collect()
+            }),
+            // `<>` has no contiguous match range, so it stays row-wise.
+            Predicate::IntCmp { column, op, value } if *op != CmpOp::Ne => {
+                let v = *value;
+                let bounds = match op {
+                    CmpOp::Eq => Some((v, v)),
+                    CmpOp::Lt => v.checked_sub(1).map(|high| (i64::MIN, high)),
+                    CmpOp::Le => Some((i64::MIN, v)),
+                    CmpOp::Gt => v.checked_add(1).map(|low| (low, i64::MAX)),
+                    CmpOp::Ge => Some((v, i64::MAX)),
+                    CmpOp::Ne => unreachable!("guarded above"),
+                };
+                match bounds {
+                    Some((low, high)) => Conjunct::range(table.column(*column), low, high),
+                    None => Conjunct::Never,
                 }
             }
-        });
+            Predicate::IntBetween { column, low, high } => {
+                Conjunct::range(table.column(*column), *low, *high)
+            }
+            _ => Conjunct::Row(pred),
+        };
+        out.push(conjunct);
     }
-    out
+
+    fn codes(col: &'a EncodedColumn, select: impl FnOnce(&StringDict) -> Vec<u32>) -> Self {
+        let Some(codes) = col.dict().map(select) else { return Conjunct::Never };
+        let (Some(&lo), Some(&hi)) = (codes.iter().min(), codes.iter().max()) else {
+            return Conjunct::Never;
+        };
+        let mut bits = Bitmap::with_value((hi - lo) as usize + 1, false);
+        codes.iter().for_each(|&c| bits.set((c - lo) as usize, true));
+        Conjunct::Codes { col, set: CodeSet { lo, hi, bits } }
+    }
+
+    fn range(col: &'a EncodedColumn, low: i64, high: i64) -> Self {
+        if col.data_type() != DataType::Int || low > high {
+            return Conjunct::Never;
+        }
+        Conjunct::Range { col, low, high }
+    }
+
+    /// Appends the matching rows of `rows` to `out`, page by page.
+    fn drive(&self, table: &Table, rows: Range<usize>, out: &mut Vec<RowId>) {
+        match self {
+            Conjunct::Codes { col, set } => for_each_page(rows, |p, local, base| {
+                let page = col.code_page(p);
+                if !page.disjoint_with(set.lo, set.hi) {
+                    page.for_each_run(local, |start, end, code| {
+                        if set.contains(code) {
+                            push_non_null(col, base + start..base + end, out);
+                        }
+                    });
+                }
+            }),
+            Conjunct::Range { col, low, high } => for_each_page(rows, |p, local, base| {
+                let page = col.int_page(p);
+                if !page.disjoint_with(*low, *high) {
+                    page.for_each_run(local, |start, end, v| {
+                        if (*low..=*high).contains(&v) {
+                            push_non_null(col, base + start..base + end, out);
+                        }
+                    });
+                }
+            }),
+            Conjunct::Never => {}
+            Conjunct::Row(p) => {
+                out.extend(rows.map(|r| r as RowId).filter(|&r| p.matches(table, r)));
+            }
+        }
+    }
+
+    /// Evaluates the conjunct for one row.
+    #[inline]
+    fn matches(&self, table: &Table, row: RowId) -> bool {
+        match self {
+            Conjunct::Codes { col, set } => {
+                col.code_at(row as usize).is_some_and(|c| set.contains(c))
+            }
+            Conjunct::Range { col, low, high } => {
+                col.int_at(row as usize).is_some_and(|v| (*low..=*high).contains(&v))
+            }
+            Conjunct::Never => false,
+            Conjunct::Row(p) => p.matches(table, row),
+        }
+    }
+}
+
+/// Calls `f(page, page_local_rows, page_base)` for each page overlapping
+/// `rows`, in order.
+fn for_each_page(rows: Range<usize>, mut f: impl FnMut(usize, Range<usize>, usize)) {
+    if rows.is_empty() {
+        return;
+    }
+    for p in rows.start / PAGE_ROWS..=(rows.end - 1) / PAGE_ROWS {
+        let base = p * PAGE_ROWS;
+        f(p, rows.start.max(base) - base..rows.end.min(base + PAGE_ROWS) - base, base);
+    }
+}
+
+/// Appends the non-null rows of `rows` to `out`.
+#[inline]
+fn push_non_null(col: &EncodedColumn, rows: Range<usize>, out: &mut Vec<RowId>) {
+    let validity = col.validity();
+    out.extend(rows.filter(|&r| validity.get(r)).map(|r| r as RowId));
 }
 
 /// SQL `LIKE` matching with `%` (any sequence) and `_` (any single char).
@@ -403,7 +484,6 @@ mod tests {
         assert_eq!(p.filter(&t), vec![1, 2, 5]);
         let p = Predicate::IntBetween { column: year, low: 1999, high: 2003 };
         assert_eq!(p.filter(&t), vec![0, 1, 2]);
-        assert_eq!(p.count(&t), 3);
     }
 
     #[test]
@@ -416,7 +496,7 @@ mod tests {
         let p = Predicate::IsNull { column: year };
         assert_eq!(p.filter(&t), vec![4]);
         let p = Predicate::IsNotNull { column: year };
-        assert_eq!(p.count(&t), 5);
+        assert_eq!(p.filter(&t).len(), 5);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use qob_storage::encoding::{CodePage, IntPage};
 use qob_storage::predicate::like_match;
 use qob_storage::{
     Bitmap, CmpOp, ColumnBuilder, ColumnMeta, DataType, EncodingPolicy, PageData, Predicate,
-    TableBuilder, Value,
+    Selection, TableBuilder, Value,
 };
 
 /// Values likely to exercise every int encoding: negatives, dense ranges
@@ -82,27 +82,28 @@ proptest! {
         prop_assert_eq!(like_match(&suffix_pattern, &hay), hay.ends_with(&needle));
     }
 
-    /// Filtering a table with an integer comparison matches a scan with the
-    /// same comparison applied per row, and counts agree.
+    /// Selecting a random row range of a table with an integer comparison
+    /// matches the same comparison applied per row over that range.
     #[test]
-    fn int_filter_agrees_with_scan(values in prop::collection::vec(proptest::option::of(-50i64..50), 1..200), threshold in -50i64..50) {
-        let mut b = TableBuilder::new("t", vec![ColumnMeta::new("v", DataType::Int)]);
+    fn int_filter_agrees_with_scan(values in prop::collection::vec(proptest::option::of(-50i64..50), 1..200), threshold in -50i64..50, a in 0usize..200, b in 0usize..200) {
+        let mut builder = TableBuilder::new("t", vec![ColumnMeta::new("v", DataType::Int)]);
         for v in &values {
-            b.push_row(vec![v.map(Value::Int).unwrap_or(Value::Null)]).unwrap();
+            builder.push_row(vec![v.map(Value::Int).unwrap_or(Value::Null)]).unwrap();
         }
-        let t = b.finish();
+        let t = builder.finish();
         let col = t.column_id("v").unwrap();
+        let (lo, hi) = (a.min(b).min(values.len()), a.max(b).min(values.len()));
         for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
-            let pred = Predicate::IntCmp { column: col, op, value: threshold };
-            let filtered = pred.filter(&t);
-            let expected: Vec<u32> = values
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| v.map(|v| op.apply(v, threshold)).unwrap_or(false))
-                .map(|(i, _)| i as u32)
-                .collect();
-            prop_assert_eq!(&filtered, &expected);
-            prop_assert_eq!(pred.count(&t), expected.len());
+            let pred = [Predicate::IntCmp { column: col, op, value: threshold }];
+            let mut selected = vec![u32::MAX];
+            Selection::compile(&t, &pred).select(lo..hi, &mut selected);
+            let mut expected = vec![u32::MAX];
+            expected.extend(
+                (lo..hi)
+                    .filter(|&i| values[i].map(|v| op.apply(v, threshold)).unwrap_or(false))
+                    .map(|i| i as u32),
+            );
+            prop_assert_eq!(&selected, &expected);
         }
     }
 

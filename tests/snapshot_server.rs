@@ -3,6 +3,7 @@
 //! concurrent clients tuple-identically to one-shot runs — without ever
 //! touching the data generator again.
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use qob_core::{BenchmarkContext, QueryReport, ServerContext};
@@ -15,11 +16,22 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("qob-it-{tag}-{}.qob", std::process::id()))
 }
 
+/// Serialises the tests of this binary.  Two of them assert that the
+/// process-global `qob_datagen::generation_count()` stays flat, which only
+/// holds while no other test generates data; every test holds this lock from
+/// its first generation to its last counter check.
+fn datagen_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A test that failed while holding the lock leaves no state behind.
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// A spread of 10 JOB queries covering small and large join counts.
 const SAMPLE: [&str; 10] = ["1a", "2a", "3c", "4a", "6a", "8a", "13d", "16b", "17a", "32a"];
 
 #[test]
 fn snapshot_roundtrip_preserves_rows_stats_and_qerrors_on_job_sample() {
+    let _serial = datagen_lock();
     let original = BenchmarkContext::new(Scale::tiny(), IndexConfig::PrimaryKeyOnly).unwrap();
     let path = temp_path("roundtrip");
     original.save_snapshot(&path).unwrap();
@@ -67,6 +79,7 @@ fn strip_timing(mut report: QueryReport) -> QueryReport {
 /// no warm query ever triggers data generation.
 #[test]
 fn warm_server_matches_oneshot_for_concurrent_clients_without_datagen() {
+    let _serial = datagen_lock();
     // Generate once, snapshot, and reload — the server runs on the loaded
     // copy, exactly like `qob serve --snapshot db.qob`.
     let path = temp_path("server");
@@ -170,6 +183,7 @@ fn warm_server_matches_oneshot_for_concurrent_clients_without_datagen() {
 /// connections, and explain never executes — over the real wire.
 #[test]
 fn wire_sessions_are_independent_and_explain_is_side_effect_free() {
+    let _serial = datagen_lock();
     let ctx = BenchmarkContext::new(Scale::tiny(), IndexConfig::PrimaryKeyOnly).unwrap();
     let handle = serve(
         ServerContext::new(ctx),
