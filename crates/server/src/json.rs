@@ -161,21 +161,32 @@ impl fmt::Display for Json {
     }
 }
 
+/// Whether byte `b` cannot appear raw inside a JSON string.  Every such
+/// byte is ASCII, so it never splits a multi-byte UTF-8 character.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// Writes `s` as a JSON string, passing each run of bytes that need no
+/// escape through in one `write_str`.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            '\u{08}' => f.write_str("\\b")?,
-            '\u{0c}' => f.write_str("\\f")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(needs_escape) {
+        f.write_str(&rest[..i])?;
+        match rest.as_bytes()[i] {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            0x08 => f.write_str("\\b")?,
+            0x0c => f.write_str("\\f")?,
+            b => write!(f, "\\u{b:04x}")?,
         }
+        rest = &rest[i + 1..];
     }
+    f.write_str(rest)?;
     f.write_str("\"")
 }
 
@@ -371,17 +382,18 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control byte in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar.  The input normally arrives as
-                    // a &str, but malformed client bytes must surface as a
-                    // parse error, not a panic.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = match rest.chars().next() {
-                        Some(c) => c,
-                        None => return Err(self.err("unterminated string")),
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one go.  Those bytes are ASCII, so the
+                    // run ends on a char boundary, and checking only the run
+                    // keeps parsing linear in the input.  Malformed bytes
+                    // surface as a parse error, not a panic.
+                    let start = self.pos;
+                    let rest = &self.bytes[start..];
+                    self.pos += rest.iter().position(|&b| needs_escape(b)).unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| {
+                        JsonError { at: start, message: "invalid UTF-8".to_owned() }
+                    })?;
+                    out.push_str(run);
                 }
             }
         }
@@ -421,6 +433,7 @@ mod tests {
     fn string_escapes_roundtrip() {
         let original = Json::str("line1\nline2\t\"quoted\" \\ slash \u{08}\u{0c}\u{1f} héllo 🚀");
         let printed = original.to_string();
+        assert_eq!(printed, r#""line1\nline2\t\"quoted\" \\ slash \b\f\u001f héllo 🚀""#);
         assert_eq!(Json::parse(&printed).unwrap(), original);
         // Escaped input parses to the raw characters.
         let v = Json::parse(r#""a\u0041\n\u00e9\ud83d\ude80""#).unwrap();

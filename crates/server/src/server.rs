@@ -249,6 +249,11 @@ fn run_connection(
     state: &ServerState,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
+    // Each reply batch leaves in one write.  Without Nagle, a reply written
+    // before the client acknowledged the previous one (its request came in
+    // while the server was still answering) leaves at once instead of
+    // waiting ~40 ms for the client's delayed ACK.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream.try_clone()?;
     let mut session = state.context.session();
@@ -275,7 +280,6 @@ fn run_connection(
                     keep_open = respond_line(&mut out, state, &mut session, local_addr, &line);
                 }
                 writer.write_all(out.as_bytes())?;
-                writer.flush()?;
                 if !keep_open {
                     return Ok(());
                 }
@@ -287,7 +291,6 @@ fn run_connection(
                     let mut out = String::new();
                     respond_line(&mut out, state, &mut session, local_addr, &line);
                     writer.write_all(out.as_bytes())?;
-                    writer.flush()?;
                 }
                 return Ok(());
             }
@@ -297,17 +300,25 @@ fn run_connection(
                 }
             }
             ReadStep::TooLong => {
-                let response = error_response("invalid_request", "request line too long");
-                writeln!(writer, "{response}")?;
+                let mut out = String::new();
+                push_line(&mut out, &error_response("invalid_request", "request line too long"));
+                writer.write_all(out.as_bytes())?;
                 return Ok(());
             }
         }
     }
 }
 
+/// Appends `response` and its newline to `out`, the buffer a connection
+/// sends in one write.
+fn push_line(out: &mut String, response: &crate::json::Json) {
+    use std::fmt::Write as _;
+    let _ = writeln!(out, "{response}");
+}
+
 /// Handles one request line, appending its response (if any) to `out`;
-/// returns whether the connection stays open.  The caller owns the write
-/// and flush, so pipelined batches leave in one packet.
+/// returns whether the connection stays open.  The caller owns the write,
+/// so pipelined batches leave in one packet.
 fn respond_line(
     out: &mut String,
     state: &ServerState,
@@ -315,7 +326,6 @@ fn respond_line(
     local_addr: SocketAddr,
     line: &str,
 ) -> bool {
-    use std::fmt::Write as _;
     if line.trim().is_empty() {
         return true; // blank keep-alive lines are tolerated
     }
@@ -323,7 +333,7 @@ fn respond_line(
         Err(message) => (error_response("invalid_request", &message), true),
         Ok(request) => handle_request(state, session, local_addr, request),
     };
-    let _ = writeln!(out, "{response}");
+    push_line(out, &response);
     keep_open
 }
 

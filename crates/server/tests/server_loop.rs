@@ -1,7 +1,7 @@
 //! End-to-end tests of the TCP server loop: one warm context, real
 //! sockets, the full request catalogue, and cooperative shutdown.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use qob_core::{BenchmarkContext, ServerContext};
 use qob_datagen::Scale;
@@ -11,6 +11,13 @@ use qob_storage::IndexConfig;
 const THREE_WAY: &str = "SELECT COUNT(*) FROM title t, movie_companies mc, company_name cn \
                          WHERE mc.movie_id = t.id AND mc.company_id = cn.id \
                            AND cn.country_code = '[us]'";
+
+/// Keeps the server busy for well over 0.2 ms, so a request sent that long
+/// after it arrives while the server still works on it.
+const FIVE_WAY: &str = "SELECT MIN(t.title) FROM title t, movie_info mi, info_type it, \
+                        cast_info ci, name n \
+                        WHERE mi.movie_id = t.id AND mi.info_type_id = it.id \
+                          AND ci.movie_id = t.id AND ci.person_id = n.id";
 
 fn start_server() -> (qob_server::ServerHandle, String) {
     let ctx = BenchmarkContext::new(Scale::tiny(), IndexConfig::PrimaryKeyOnly).unwrap();
@@ -543,6 +550,88 @@ fn concurrent_clients_get_identical_answers() {
     for pair in &answers[1..] {
         assert_eq!(pair, &answers[0], "all clients must agree");
     }
+    handle.shutdown();
+    handle.join();
+}
+
+/// The median of `n` timings, in milliseconds.
+fn median_ms(n: usize, mut time: impl FnMut() -> Duration) -> f64 {
+    let mut samples: Vec<f64> = (0..n).map(|_| time().as_secs_f64() * 1e3).collect();
+    samples.sort_by(f64::total_cmp);
+    samples[n / 2]
+}
+
+/// Far below the ~40 ms a Nagle socket waits for a delayed ACK on Linux,
+/// far above a loopback round trip, even one of a 70 kB message in a
+/// debug build.
+const STALL_BOUND_MS: f64 = 10.0;
+
+#[test]
+fn round_trips_do_not_wait_for_a_delayed_ack() {
+    // A request line split over two writes holds its second part until the
+    // server's delayed ACK of the first; the client sends each line in one
+    // write.
+    let (handle, addr) = start_server();
+    let mut client = Client::connect_with_retry(&addr, Duration::from_secs(5)).unwrap();
+
+    let ping = median_ms(50, || {
+        let started = Instant::now();
+        let pong = client.request(&Request::Ping).unwrap();
+        assert_eq!(pong.get("type").unwrap().as_str(), Some("pong"));
+        started.elapsed()
+    });
+    assert!(ping < STALL_BOUND_MS, "median ping round trip {ping:.2} ms");
+
+    // A request and a reply each longer than one 64 KiB loopback segment,
+    // answered with next to no work: the `invalid_option` error echoes the
+    // unknown option name.
+    let set = Request::Set { option: "x".repeat(70_000), value: "1".into() }.to_json().to_string();
+    let reply = client.request_raw(&set).unwrap();
+    assert_eq!(reply.get("error").unwrap().get("code").unwrap().as_str(), Some("invalid_option"));
+    let bytes = reply.to_string().len();
+    assert!(bytes > 64 * 1024, "a {bytes}-byte reply fits one segment");
+    let big = median_ms(15, || {
+        let started = Instant::now();
+        client.request_raw(&set).unwrap();
+        started.elapsed()
+    });
+    assert!(big < STALL_BOUND_MS, "median round trip of a {bytes}-byte reply {big:.2} ms");
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn back_to_back_replies_do_not_wait_for_a_delayed_ack() {
+    use std::io::{BufRead, BufReader, Write};
+    // A ping sent while the server still works on a query reaches it after
+    // the query's reply left, so the server writes two small replies back
+    // to back.  On a Nagle socket the second waits for the client's delayed
+    // ACK of the first; the server sets TCP_NODELAY.
+    let (handle, addr) = start_server();
+    drop(Client::connect_with_retry(&addr, Duration::from_secs(5)).unwrap());
+    let stream = std::net::TcpStream::connect(&addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let query = format!("{}\n", Request::Query { sql: FIVE_WAY.into() }.to_json());
+    let mut line = String::new();
+    let mut read_type = |reader: &mut BufReader<std::net::TcpStream>| {
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        qob_server::Json::parse(&line).unwrap().get("type").unwrap().as_str().unwrap().to_owned()
+    };
+    let gap = median_ms(9, || {
+        writer.write_all(query.as_bytes()).unwrap();
+        std::thread::sleep(Duration::from_micros(200));
+        writer.write_all(b"{\"type\":\"ping\"}\n").unwrap();
+        assert_eq!(read_type(&mut reader), "result");
+        let first_reply = Instant::now();
+        assert_eq!(read_type(&mut reader), "pong");
+        first_reply.elapsed()
+    });
+    assert!(gap < STALL_BOUND_MS, "median gap between the two replies {gap:.2} ms");
+
     handle.shutdown();
     handle.join();
 }

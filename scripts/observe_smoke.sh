@@ -2,10 +2,11 @@
 # Observability smoke: start a warm server, run a fixed query mix (plain,
 # traced, EXPLAIN ANALYZE, adaptive), scrape the metrics endpoint, assert
 # the exposition parses and the counters match exactly what just ran, and
-# write BENCH_serve_smoke.json (warm latency quantiles + cache/replan
-# counters).  A second server with a tiny --regression-ratio then forces
-# the regression detector end-to-end, and its scheduler timeline exports
-# as Chrome trace-event JSON (BENCH_trace.json, validated with jq).  CI
+# write BENCH_serve_smoke.json (warm latency quantiles, cache/replan
+# counters and the client-observed round trip).  A second server with a
+# tiny --regression-ratio then forces the regression detector end-to-end,
+# and its scheduler timeline exports as Chrome trace-event JSON
+# (BENCH_trace.json, validated with jq).  CI
 # runs this on every push; re-run it locally after
 # `cargo build --release` to regenerate the committed bench files.
 #
@@ -98,6 +99,17 @@ jq -e '.regressions == []' observe-history.json
 "$QOB" connect --addr "$ADDR" --history 1 > observe-history-top.json
 jq -e '(.fingerprints | length == 1) and .recorded == 8' observe-history-top.json
 
+# The phase quantiles above are the server's own view and never see the
+# transport.  A short single-connection bench-load run of the same warm
+# statement adds the client's view: its median round trip lands in the
+# bench file as wire_rtt_p50_us (recorded, not gated).
+"$QOB" bench-load --addr "$ADDR" --connections 1 --requests 50 -e "$SQL" \
+  --label wire-rtt --output observe-rtt.json
+jq -c --slurpfile rtt observe-rtt.json '. + {wire_rtt_p50_us: $rtt[0].p50_us}' "$OUT" \
+  > observe-out.json
+mv observe-out.json "$OUT"
+jq -e '.wire_rtt_p50_us > 0' "$OUT"
+
 "$QOB" connect --addr "$ADDR" --shutdown
 wait $SERVER_PID
 trap - EXIT
@@ -147,6 +159,6 @@ wait $REG_PID
 trap - EXIT
 rm -f observe-serve.log observe-run[1-5].out observe-traced.out \
   observe-analyze.out observe-adaptive.out observe-metrics.txt \
-  observe-history.json observe-history-top.json \
+  observe-history.json observe-history-top.json observe-rtt.json \
   regress-serve.log regress-metrics.txt regress-history.json
 echo "observe smoke OK — wrote $OUT and $TRACE_OUT"
